@@ -1,18 +1,19 @@
-//! The simulation engine: drives an adversary against an online algorithm,
-//! either through the classic sequential reveal loop or — for batchable
-//! algorithms against oblivious adversaries — through the batched
-//! parallel executor built on the conflict-detection layer in
-//! [`crate::batch`].
+//! The simulation drivers: [`Simulation`] and [`ParallelSimulation`]
+//! drive an adversary against an online algorithm. Both are loops that
+//! pull reveals from the adversary and hand them to the stepping core in
+//! [`crate::session`] — one reveal at a time, or through its batch cycle
+//! over the conflict-detection layer in [`crate::batch`]. This module
+//! also holds the run's [`RunOutcome`] and the outcome accumulator.
 
 use std::collections::VecDeque;
 
 use mla_adversary::{Adversary, Oblivious, SourceAdversary};
-use mla_core::{BatchServe, MergeDecision, MergePlan, OnlineMinla, UpdateReport};
-use mla_graph::{GraphState, Instance, RevealEvent, RevealSource, SnapshotMode, Topology};
-use mla_permutation::{Arrangement, MergeOp, Permutation};
+use mla_core::{BatchServe, OnlineMinla, UpdateReport};
+use mla_graph::{Instance, RevealEvent, RevealSource};
+use mla_permutation::Permutation;
 
-use crate::batch::{BatchPlanner, PARALLEL_DISPATCH_MIN};
 use crate::error::SimError;
+use crate::session::{RecordMode, Rules, Session, DEFAULT_BATCH_WINDOW};
 
 /// Outcome of one complete run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,14 +101,12 @@ impl RunOutcome {
 ///     .expect("valid run");
 /// assert_eq!(outcome.per_event.len(), 7);
 /// ```
+///
+/// [`GraphState::merge_keeps_minla`]: mla_graph::GraphState::merge_keeps_minla
 pub struct Simulation<A> {
     adversary: Box<dyn Adversary>,
     algorithm: A,
-    check_feasibility: bool,
-    full_scan: bool,
-    record_events: bool,
-    record_window: Option<usize>,
-    eager_snapshots: bool,
+    rules: Rules,
 }
 
 impl<A> std::fmt::Debug for Simulation<A> {
@@ -115,8 +114,8 @@ impl<A> std::fmt::Debug for Simulation<A> {
         f.debug_struct("Simulation")
             .field("n", &self.adversary.n())
             .field("topology", &self.adversary.topology())
-            .field("check_feasibility", &self.check_feasibility)
-            .field("full_scan", &self.full_scan)
+            .field("check_feasibility", &self.rules.check_feasibility)
+            .field("full_scan", &self.rules.full_scan)
             .finish_non_exhaustive()
     }
 }
@@ -166,11 +165,7 @@ impl<A: OnlineMinla> Simulation<A> {
         Simulation {
             adversary,
             algorithm,
-            check_feasibility: false,
-            full_scan: cfg!(debug_assertions),
-            record_events: true,
-            record_window: None,
-            eager_snapshots: false,
+            rules: Rules::default(),
         }
     }
 
@@ -182,20 +177,8 @@ impl<A: OnlineMinla> Simulation<A> {
     /// the lazy ≡ eager property tests.
     #[must_use]
     pub fn eager_snapshots(mut self, on: bool) -> Self {
-        self.eager_snapshots = on;
+        self.rules.eager_snapshots = on;
         self
-    }
-
-    /// The snapshot mode this simulation's reveal loop will use.
-    fn snapshot_mode(&self) -> SnapshotMode {
-        if !self.eager_snapshots
-            && self.algorithm.wants_lazy_info()
-            && self.algorithm.arrangement().supports_component_locate()
-        {
-            SnapshotMode::Lazy
-        } else {
-            SnapshotMode::Eager
-        }
     }
 
     /// Controls whether per-event reports and served events are recorded
@@ -206,8 +189,11 @@ impl<A: OnlineMinla> Simulation<A> {
     /// set by [`Simulation::record_window`].
     #[must_use]
     pub fn record_events(mut self, on: bool) -> Self {
-        self.record_events = on;
-        self.record_window = None;
+        self.rules.record = if on {
+            RecordMode::Full
+        } else {
+            RecordMode::Off
+        };
         self
     }
 
@@ -243,8 +229,7 @@ impl<A: OnlineMinla> Simulation<A> {
     /// ```
     #[must_use]
     pub fn record_window(mut self, k: usize) -> Self {
-        self.record_events = false;
-        self.record_window = Some(k);
+        self.rules.record = RecordMode::Window(k);
         self
     }
 
@@ -253,7 +238,7 @@ impl<A: OnlineMinla> Simulation<A> {
     /// per reveal, validating only the merged component.
     #[must_use]
     pub fn check_feasibility(mut self, on: bool) -> Self {
-        self.check_feasibility = on;
+        self.rules.check_feasibility = on;
         self
     }
 
@@ -269,7 +254,7 @@ impl<A: OnlineMinla> Simulation<A> {
     /// validating those in release builds.
     #[must_use]
     pub fn check_feasibility_full(mut self, on: bool) -> Self {
-        self.full_scan = on;
+        self.rules.full_scan = on;
         self
     }
 
@@ -282,33 +267,25 @@ impl<A: OnlineMinla> Simulation<A> {
     /// * [`SimError::Graph`] if the adversary emits an invalid reveal;
     /// * [`SimError::FeasibilityViolation`] if checking is enabled and the
     ///   algorithm breaks the MinLA invariant.
-    pub fn run(mut self) -> Result<RunOutcome, SimError> {
-        let n = self.adversary.n();
-        if self.algorithm.arrangement().len() != n {
-            return Err(SimError::SizeMismatch {
-                expected: n,
-                actual: self.algorithm.arrangement().len(),
-            });
+    pub fn run(self) -> Result<RunOutcome, SimError> {
+        let (mut adversary, mut session) = self.open(DEFAULT_BATCH_WINDOW)?;
+        while let Some(event) = adversary.next(session.arrangement(), session.state()) {
+            session.apply(event)?;
         }
-        let mode = self.snapshot_mode();
-        let mut state = GraphState::new(self.adversary.topology(), n);
-        let mut recorder = Recorder::new(self.record_events, self.record_window);
-        while let Some(event) = self.adversary.next(self.algorithm.arrangement(), &state) {
-            let info = state.apply_with(event, mode)?;
-            let report = self.algorithm.serve(event, &info, &state);
-            if self.check_feasibility {
-                let feasible = state.merge_keeps_minla(self.algorithm.arrangement(), &info)
-                    && (!self.full_scan || state.is_minla(self.algorithm.arrangement()));
-                if !feasible {
-                    return Err(SimError::FeasibilityViolation {
-                        step: recorder.step() + 1,
-                        algorithm: self.algorithm.name().to_owned(),
-                    });
-                }
-            }
-            recorder.record(event, report);
-        }
-        Ok(recorder.finish(self.algorithm.arrangement().to_permutation()))
+        Ok(session.finish())
+    }
+
+    /// Splits the simulation into its adversary and a fresh stepping
+    /// core batching at most `window` reveals ahead.
+    fn open(self, window: usize) -> Result<(Box<dyn Adversary>, Session<A>), SimError> {
+        let session = Session::new(
+            self.adversary.topology(),
+            self.adversary.n(),
+            self.algorithm,
+            self.rules,
+            window,
+        )?;
+        Ok((self.adversary, session))
     }
 
     /// Upgrades this simulation to the **batched parallel executor**: the
@@ -354,170 +331,6 @@ impl<A: OnlineMinla> Simulation<A> {
             unchecked_sealing: false,
         }
     }
-}
-
-/// Default maximal look-ahead window of the batched executor (shared
-/// with the session layer's internal planner).
-pub(crate) const DEFAULT_BATCH_WINDOW: usize = 4096;
-
-/// Debug-build re-check of the planner's sealing contract: every span in
-/// a sealed batch must be pairwise disjoint, or the partitioned-write
-/// executor's `&mut`-distribution argument does not hold. Uses sort +
-/// adjacent comparison — deliberately a different algorithm than the
-/// planner's [`crate::batch::ConflictGraph`] — so a sealing bug cannot
-/// hide itself in the checker.
-#[cfg(debug_assertions)]
-fn assert_batch_spans_disjoint(batch: &[crate::batch::PlannedReveal]) {
-    let mut spans: Vec<(std::ops::Range<usize>, usize)> = batch
-        .iter()
-        .enumerate()
-        .map(|(index, planned)| (planned.span(), index))
-        .collect();
-    spans.sort_by_key(|(span, _)| (span.start, span.end));
-    for pair in spans.windows(2) {
-        let ((a, a_at), (b, b_at)) = (&pair[0], &pair[1]);
-        if a.end > b.start {
-            // mla-lint: allow(panic-safety): the shadow checker exists to abort on a detected sealing violation (debug builds only)
-            panic!(
-                "shadow checker: sealed batch contains overlapping spans: \
-                 reveal {a_at} span {a:?} vs reveal {b_at} span {b:?}"
-            );
-        }
-    }
-}
-
-/// Incremental feasibility check shared by the batch execution paths:
-/// validates the merged component's block (and, under `full_scan`, the
-/// whole arrangement) against the post-merge state.
-fn batch_step_feasible<P: Arrangement>(
-    state: &GraphState,
-    arr: &P,
-    info: &mla_graph::MergeInfo,
-    full_scan: bool,
-) -> bool {
-    state.merge_keeps_minla(arr, info) && (!full_scan || state.is_minla(arr))
-}
-
-/// Executes one **sealed** batch of span-disjoint planned reveals through
-/// the decide / plan / apply pipeline — phases 2–4 of the batched
-/// executor (see [`Simulation::parallel`]), with per-reveal feasibility
-/// checks and recording.
-///
-/// This is the single execution path shared by [`ParallelSimulation::run`]
-/// and the serving session layer ([`crate::session`]): both therefore
-/// apply merges through byte-identical code, which is what makes a
-/// checkpoint taken mid-stream resumable into either driver.
-///
-/// The caller owns the planning half of the contract: `batch` must come
-/// from [`BatchPlanner::plan_batch_into`] against the *current* `state`
-/// and arrangement, and [`BatchPlanner::retire_batch`] must be called
-/// after this returns `Ok`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_planned_batch<A: BatchServe>(
-    algorithm: &mut A,
-    state: &mut GraphState,
-    recorder: &mut Recorder,
-    batch: &[crate::batch::PlannedReveal],
-    decisions: &mut Vec<MergeDecision>,
-    threads: usize,
-    check_feasibility: bool,
-    full_scan: bool,
-) -> Result<(), SimError>
-where
-    A::Arr: Sync,
-{
-    // Batch of one — the parked degraded mode, and the tail of every
-    // run: skip the whole phase machinery (decision/plan/op staging
-    // vectors, the backend's batch dispatch) and run the exact
-    // sequential pipeline inline. Identical semantics — decide, build,
-    // commit, one `merge_move` — just without the bookkeeping, so a
-    // conflict-dense parallel run is never slower than the sequential
-    // loop.
-    if batch.len() == 1 {
-        let planned = &batch[0];
-        let decision = algorithm.decide(&planned.info, &planned.layout);
-        let plan = A::build_plan(&planned.info, &planned.layout, decision);
-        state.commit(planned.event);
-        let report = algorithm.apply_plan(plan);
-        if check_feasibility
-            && !batch_step_feasible(state, algorithm.arrangement(), &planned.info, full_scan)
-        {
-            return Err(SimError::FeasibilityViolation {
-                step: recorder.step() + 1,
-                algorithm: algorithm.name().to_owned(),
-            });
-        }
-        recorder.record(planned.event, report);
-        return Ok(());
-    }
-    // Phase 2: RNG draws, strictly in reveal order.
-    decisions.clear();
-    decisions.extend(batch.iter().map(|p| algorithm.decide(&p.info, &p.layout)));
-    // Phase 3: pure plan construction. Only line merges carry per-plan
-    // staging buffers (the merged path's target content), so only they
-    // are worth a parallel dispatch.
-    let plans: Vec<MergePlan> = if threads > 1
-        && batch.len() >= PARALLEL_DISPATCH_MIN
-        && state.topology() == Topology::Lines
-    {
-        let decisions = &*decisions;
-        mla_runner::run_indexed(threads, batch.len(), |i| {
-            A::build_plan(&batch[i].info, &batch[i].layout, decisions[i])
-        })
-    } else {
-        batch
-            .iter()
-            .zip(decisions.iter())
-            .map(|(p, &decision)| A::build_plan(&p.info, &p.layout, decision))
-            .collect()
-    };
-    // Phase 4: commit the graph mutations (reveal order, `O(α)` each),
-    // then execute the whole batch of span-disjoint merges through the
-    // backend — partitioned backends
-    // ([`mla_permutation::ShardedArrangement`]) run ops of different
-    // regions on worker threads. Disjoint spans commute, so the
-    // arrangement is bit-identical to the sequential per-reveal loop.
-    // Debug-build shadow check: re-verify the planner's sealing promise
-    // with an independent algorithm (sort + adjacent comparison, vs the
-    // planner's ordered-map probes) before any state mutation. Compiled
-    // out of release builds.
-    #[cfg(debug_assertions)]
-    assert_batch_spans_disjoint(batch);
-    let mut reports = Vec::with_capacity(batch.len());
-    let mut ops = Vec::with_capacity(batch.len());
-    for (planned, plan) in batch.iter().zip(plans) {
-        state.commit(planned.event);
-        reports.push(plan.report);
-        ops.push(MergeOp {
-            mover: plan.mover,
-            stayer: plan.stayer,
-            target: plan.target,
-        });
-    }
-    let costs = algorithm.arrangement_mut().apply_merge_batch(ops, threads);
-    debug_assert!(
-        costs
-            .iter()
-            .zip(&reports)
-            .all(|(&cost, report)| cost == report.moving_cost),
-        "backend charged a different moving cost than the plan"
-    );
-    // Checks and recording, in reveal order. Feasibility is validated
-    // against the post-batch state; because batch spans are disjoint,
-    // each merged component's block is exactly what the per-reveal
-    // check would have seen.
-    for (planned, report) in batch.iter().zip(reports) {
-        if check_feasibility
-            && !batch_step_feasible(state, algorithm.arrangement(), &planned.info, full_scan)
-        {
-            return Err(SimError::FeasibilityViolation {
-                step: recorder.step() + 1,
-                algorithm: algorithm.name().to_owned(),
-            });
-        }
-        recorder.record(planned.event, report);
-    }
-    Ok(())
 }
 
 /// The batched parallel executor returned by [`Simulation::parallel`].
@@ -587,93 +400,29 @@ where
     /// # Errors
     ///
     /// Exactly those of [`Simulation::run`], at the same steps.
-    pub fn run(mut self) -> Result<RunOutcome, SimError> {
-        let threads = mla_runner::resolve_threads(self.threads);
-        let n = self.sim.adversary.n();
-        if self.sim.algorithm.arrangement().len() != n {
-            return Err(SimError::SizeMismatch {
-                expected: n,
-                actual: self.sim.algorithm.arrangement().len(),
-            });
-        }
-        let mut state = GraphState::new(self.sim.adversary.topology(), n);
-        let mut recorder = Recorder::new(self.sim.record_events, self.sim.record_window);
+    pub fn run(self) -> Result<RunOutcome, SimError> {
         // Adaptive adversaries must observe the arrangement after every
-        // reveal: window 1 makes the pipeline equivalent to the
+        // reveal: window 1 makes the batch cycle equivalent to the
         // sequential loop.
-        let window_max = if self.sim.adversary.is_oblivious() {
+        let window = if self.sim.adversary.is_oblivious() {
             self.window
         } else {
             1
         };
-        // Lazy snapshots additionally require the cliques topology here:
-        // the batched lines pipeline builds rearranged target contents in
-        // `build_plan`, which needs member lists.
-        let mode = if self.sim.snapshot_mode() == SnapshotMode::Lazy
-            && state.topology() == Topology::Cliques
-        {
-            SnapshotMode::Lazy
-        } else {
-            SnapshotMode::Eager
-        };
-        let mut planner = BatchPlanner::new(window_max)
-            .snapshot_mode(mode)
-            .unchecked_sealing(self.unchecked_sealing);
-        let mut exhausted = false;
-        let mut decisions: Vec<MergeDecision> = Vec::new();
-        // Reused across rounds: the parked (window-1) degraded mode must
-        // not pay a heap allocation per reveal.
-        let mut batch: Vec<crate::batch::PlannedReveal> = Vec::new();
-        loop {
-            while !exhausted && planner.queued() < planner.refill_target() {
-                match self
-                    .sim
-                    .adversary
-                    .next(self.sim.algorithm.arrangement(), &state)
-                {
-                    Some(event) => planner.push(event),
-                    None => exhausted = true,
-                }
-            }
-            if planner.is_empty() {
-                break;
-            }
-            // Phase 1: peek + locate the window, seal the disjoint prefix.
-            planner
-                .plan_batch_into(
-                    &state,
-                    self.sim.algorithm.arrangement(),
-                    threads,
-                    &mut batch,
-                )
-                .map_err(SimError::Graph)?;
-            // Phases 2–4 (decide / build / apply), shared with the
-            // serving session layer.
-            execute_planned_batch(
-                &mut self.sim.algorithm,
-                &mut state,
-                &mut recorder,
-                &batch,
-                &mut decisions,
-                threads,
-                self.sim.check_feasibility,
-                self.sim.full_scan,
-            )?;
-            planner.retire_batch(&state, &batch);
-        }
-        Ok(recorder.finish(self.sim.algorithm.arrangement().to_permutation()))
+        let (mut adversary, session) = self.sim.open(window)?;
+        let mut session = session.unchecked_sealing(self.unchecked_sealing);
+        session.set_threads(self.threads);
+        session.apply_batch(|arr, state| adversary.next(arr, state))?;
+        Ok(session.finish())
     }
 }
 
-/// Shared outcome accumulator of the sequential and batched run loops:
-/// exact `u128` cost totals, plus full, windowed or no per-event
-/// recording. `pub(crate)` so the serving session layer
-/// ([`crate::session`]) accumulates through the identical code path and
-/// can checkpoint/restore the accumulator state exactly.
+/// Outcome accumulator of the stepping core: exact `u128` cost totals,
+/// plus full, windowed or no per-event recording, checkpointed and
+/// restored exactly with the session.
 #[derive(Debug, Clone)]
 pub(crate) struct Recorder {
-    full: bool,
-    window: Option<usize>,
+    mode: RecordMode,
     per_event: VecDeque<UpdateReport>,
     events: VecDeque<RevealEvent>,
     moving_cost: u128,
@@ -682,10 +431,9 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    pub(crate) fn new(full: bool, window: Option<usize>) -> Self {
+    pub(crate) fn new(mode: RecordMode) -> Self {
         Recorder {
-            full,
-            window,
+            mode,
             per_event: VecDeque::new(),
             events: VecDeque::new(),
             moving_cost: 0,
@@ -709,9 +457,9 @@ impl Recorder {
         self.rearranging_cost
     }
 
-    /// The record mode `(full, window)` this recorder was built with.
-    pub(crate) fn mode(&self) -> (bool, Option<usize>) {
-        (self.full, self.window)
+    /// The record mode this recorder was built with.
+    pub(crate) fn mode(&self) -> RecordMode {
+        self.mode
     }
 
     /// Non-consuming [`Recorder::finish`]: snapshots the accumulator into
@@ -725,10 +473,10 @@ impl Recorder {
     /// mode, and every retained (event, report) pair in retention order.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use mla_permutation::codec::{put_bool, put_len, put_u128, put_u64};
-        put_bool(out, self.full);
-        match self.window {
-            None => put_bool(out, false),
-            Some(k) => {
+        put_bool(out, self.mode == RecordMode::Full);
+        match self.mode {
+            RecordMode::Full | RecordMode::Off => put_bool(out, false),
+            RecordMode::Window(k) => {
                 put_bool(out, true);
                 put_len(out, k);
             }
@@ -756,22 +504,25 @@ impl Recorder {
     ) -> Result<Self, mla_permutation::codec::CodecError> {
         use mla_permutation::codec::CodecError;
         let full = r.bool("recorder full flag")?;
-        let window = if r.bool("recorder window flag")? {
-            Some(r.count(usize::MAX, "recorder window")?)
-        } else {
-            None
+        let mode = match (full, r.bool("recorder window flag")?) {
+            (true, false) => RecordMode::Full,
+            (false, false) => RecordMode::Off,
+            (false, true) => RecordMode::Window(r.count(usize::MAX, "recorder window")?),
+            (true, true) => {
+                return Err(CodecError::invalid(
+                    "recorder records in full and in a window".to_string(),
+                ))
+            }
         };
         let moving_cost = r.u128()?;
         let rearranging_cost = r.u128()?;
         let step = r.count(usize::MAX, "recorder step")?;
         let retained = r.count(step, "recorder retained entries")?;
-        if !full {
-            let cap = window.unwrap_or(0);
-            if retained > cap {
-                return Err(CodecError::invalid(format!(
-                    "recorder retains {retained} entries but the window is {cap}"
-                )));
-            }
+        let cap = mode.retained();
+        if retained > cap {
+            return Err(CodecError::invalid(format!(
+                "recorder retains {retained} entries but the window is {cap}"
+            )));
         }
         let mut per_event = VecDeque::with_capacity(retained);
         let mut events = VecDeque::with_capacity(retained);
@@ -795,8 +546,7 @@ impl Recorder {
             ));
         }
         Ok(Recorder {
-            full,
-            window,
+            mode,
             per_event,
             events,
             moving_cost,
@@ -809,11 +559,7 @@ impl Recorder {
         self.step += 1;
         self.moving_cost += u128::from(report.moving_cost);
         self.rearranging_cost += u128::from(report.rearranging_cost);
-        let retain = if self.full {
-            usize::MAX
-        } else {
-            self.window.unwrap_or(0)
-        };
+        let retain = self.mode.retained();
         if retain == 0 {
             return;
         }
@@ -832,8 +578,11 @@ impl Recorder {
             rearranging_cost: self.rearranging_cost,
             per_event: self.per_event.into(),
             events: self.events.into(),
-            events_recorded: self.full,
-            recorded_window: self.window,
+            events_recorded: self.mode == RecordMode::Full,
+            recorded_window: match self.mode {
+                RecordMode::Window(k) => Some(k),
+                RecordMode::Full | RecordMode::Off => None,
+            },
             final_perm,
         }
     }
@@ -844,7 +593,7 @@ mod tests {
     use super::*;
     use mla_adversary::{random_line_instance, DetLineAdversary, MergeShape};
     use mla_core::{DetClosest, RandCliques, RandLines};
-    use mla_graph::Topology;
+    use mla_graph::{GraphState, Topology};
     use mla_offline::LopConfig;
     use mla_permutation::SegmentArrangement;
     use rand::rngs::SmallRng;

@@ -13,6 +13,9 @@
 //!   of span-disjoint merges and serves each batch across worker
 //!   threads, bit-identically to the sequential loop for every thread
 //!   count;
+//! * [`session`] — the stepping core both drivers serve through, and the
+//!   serving tenants ([`open_session`] / [`TenantSession`]) and
+//!   checkpoint codec built on it;
 //! * [`OnlineStats`] / [`harmonic`] — measurement utilities;
 //! * [`Table`] — plain-text/CSV experiment output;
 //! * [`all_experiments`] — the registry reproducing every theorem, lemma
@@ -69,8 +72,8 @@ pub use engine::{ParallelSimulation, RunOutcome, Simulation};
 pub use error::SimError;
 pub use experiment::{all_experiments, find_experiment, Experiment, ExperimentContext, Scale};
 pub use session::{
-    decode_session, encode_session, open_session, ArrCodec, BackendKind, PolicyKind, RecordMode,
-    Session, SessionSpec, TenantSession,
+    decode_session, encode_session, open_session, BackendKind, PolicyKind, RecordMode, SessionSpec,
+    TenantSession,
 };
 pub use stats::{harmonic, percentile_sorted, OnlineStats, Summary};
 pub use table::Table;

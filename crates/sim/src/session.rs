@@ -1,24 +1,30 @@
-//! Long-lived, resumable serving sessions.
+//! The stepping core, and the long-lived, resumable serving sessions
+//! built on it.
 //!
-//! A [`Session`] is the serving-daemon counterpart of a [`Simulation`]
-//! run: the same graph state, algorithm, feasibility checks and outcome
-//! accumulator, but driven **incrementally** — reveals arrive in frames
-//! over a wire protocol, position/cost queries interleave with them, and
-//! at any drained point the entire live state can be serialized into a
-//! checkpoint and restored **in a different process** such that replaying
-//! the remaining reveals is bit-identical to the uninterrupted run.
+//! `Session<A>` is the only code that serves reveals. It owns the
+//! graph state, the algorithm, the outcome accumulator, the snapshot-mode
+//! rule and the feasibility check, and it has two entry points:
 //!
-//! Three layers:
+//! * `Session::apply` — the sequential step: apply the reveal to the
+//!   graph state, let the algorithm serve it, check, record;
+//! * `Session::apply_batch` — the batch cycle (plan → execute →
+//!   retire) over the span-disjoint batches of [`crate::batch`], pulling
+//!   reveals from a caller-supplied source no further ahead than the
+//!   planner's refill target.
 //!
-//! * [`Session<A>`] — the typed engine. Sequential serving mirrors
-//!   [`Simulation::run`] exactly; batched serving
-//!   ([`Session::apply_batch`]) routes frames through the *same* sealed
-//!   batch executor as [`Simulation::parallel`]
-//!   (`execute_planned_batch`), so merges applied by a daemon are
-//!   byte-identical to an engine run.
-//! * [`TenantSession`] — the object-safe facade a multi-tenant server
-//!   stores: apply / query / checkpoint without knowing the concrete
-//!   policy × backend type.
+//! [`Simulation::run`] and [`ParallelSimulation::run`] are loops that
+//! feed an adversary into these entry points; a serving tenant feeds
+//! them wire frames. All three therefore share one step body and one
+//! batch cycle, which is what makes a checkpoint taken by a daemon
+//! resumable bit-identically, and any frame partition of a reveal
+//! sequence equal to the closed-loop run.
+//!
+//! Around the core sit the multi-tenant serving types:
+//!
+//! * [`TenantSession`] — the object-safe facade a server stores: apply /
+//!   query / checkpoint without knowing the concrete policy × backend
+//!   type. Batchable policies serve frames through the batch cycle, the
+//!   jump policies (`Det`, `Opt`) through the sequential step.
 //! * [`SessionSpec`] + [`encode_session`] / [`decode_session`] — the
 //!   versioned checkpoint codec. Everything that can influence future
 //!   serves is captured: arrangement (including segment-arena partition
@@ -27,24 +33,23 @@
 //!   the outcome accumulator, and the batch planner's adaptive-window
 //!   tuning.
 //!
-//! [`Simulation`]: crate::Simulation
 //! [`Simulation::run`]: crate::Simulation::run
-//! [`Simulation::parallel`]: crate::Simulation::parallel
+//! [`ParallelSimulation::run`]: crate::ParallelSimulation::run
 
 use mla_core::{
-    BatchServe, DetClosest, MergeDecision, MovePolicy, OnlineMinla, OptReplay, PolicyState,
-    RandCliques, RandLines, RearrangePolicy, UpdateReport,
+    BatchServe, DetClosest, MergeDecision, MergePlan, MovePolicy, OnlineMinla, OptReplay,
+    PolicyState, RandCliques, RandLines, RearrangePolicy, UpdateReport,
 };
-use mla_graph::{GraphState, RevealEvent, SnapshotMode, Topology};
+use mla_graph::{GraphState, MergeInfo, RevealEvent, SnapshotMode, Topology};
 use mla_offline::LopConfig;
 use mla_permutation::codec::{put_bool, put_len, put_u32, put_u64, put_u8, ByteReader, CodecError};
-use mla_permutation::{Arrangement, Node, Permutation, SegmentArrangement, MAX_NODES};
+use mla_permutation::{Arrangement, MergeOp, Node, Permutation, SegmentArrangement, MAX_NODES};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::batch::{BatchPlanner, PlannedReveal};
+use crate::batch::{BatchPlanner, PlannedReveal, PARALLEL_DISPATCH_MIN};
 use crate::checkpoint::{self, CheckpointError};
-use crate::engine::{execute_planned_batch, Recorder, RunOutcome, DEFAULT_BATCH_WINDOW};
+use crate::engine::{Recorder, RunOutcome};
 use crate::error::SimError;
 
 // ---- spec ----
@@ -86,6 +91,17 @@ pub enum RecordMode {
     Off,
     /// Retain only the trailing `k` pairs.
     Window(usize),
+}
+
+impl RecordMode {
+    /// The most (event, report) pairs this mode retains.
+    pub(crate) fn retained(self) -> usize {
+        match self {
+            RecordMode::Full => usize::MAX,
+            RecordMode::Off => 0,
+            RecordMode::Window(k) => k,
+        }
+    }
 }
 
 /// Construction-time description of a session: everything needed to
@@ -292,12 +308,9 @@ impl SessionSpec {
 
 // ---- arrangement codec dispatch ----
 
-/// Arrangement backends a session can checkpoint: fresh construction,
-/// exact serialization, and the [`BackendKind`] tag the spec records.
-pub trait ArrCodec: Arrangement + Sized {
-    /// The tag [`SessionSpec::backend`] uses for this type.
-    const KIND: BackendKind;
-
+/// Arrangement backends a session can checkpoint: fresh construction
+/// and exact serialization.
+pub(crate) trait ArrCodec: Arrangement + Sized {
     /// The identity arrangement on `n` nodes (the fresh-session start).
     fn fresh(n: usize) -> Self;
 
@@ -307,16 +320,10 @@ pub trait ArrCodec: Arrangement + Sized {
     fn encode_arr(&self, out: &mut Vec<u8>);
 
     /// Inverse of [`ArrCodec::encode_arr`].
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncated or inconsistent input.
     fn decode_arr(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
 }
 
 impl ArrCodec for Permutation {
-    const KIND: BackendKind = BackendKind::Dense;
-
     fn fresh(n: usize) -> Self {
         Permutation::identity(n)
     }
@@ -331,8 +338,6 @@ impl ArrCodec for Permutation {
 }
 
 impl ArrCodec for SegmentArrangement {
-    const KIND: BackendKind = BackendKind::Segment;
-
     fn fresh(n: usize) -> Self {
         SegmentArrangement::identity(n)
     }
@@ -346,149 +351,157 @@ impl ArrCodec for SegmentArrangement {
     }
 }
 
-// ---- the typed session engine ----
+// ---- the stepping core ----
 
-/// A long-lived serving session: a [`Simulation`](crate::Simulation) run
-/// broken out of its closed loop. Reveals are applied as they arrive
-/// (one at a time or in frames through the batch executor), queries are
-/// answered mid-stream, and the whole live state can be checkpointed at
-/// any point between calls.
-pub struct Session<A: OnlineMinla> {
-    spec: SessionSpec,
+/// Default maximal look-ahead window of the batch cycle.
+pub(crate) const DEFAULT_BATCH_WINDOW: usize = 4096;
+
+/// How a [`Session`] serves: what it records, what it checks, and
+/// whether lazy component snapshots are allowed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rules {
+    /// Per-event history retention.
+    pub(crate) record: RecordMode,
+    /// Validate the MinLA invariant after every reveal (incrementally).
+    pub(crate) check_feasibility: bool,
+    /// With checking on, also run the full `O(n)` scan per reveal.
+    pub(crate) full_scan: bool,
+    /// Force eager snapshots even where lazy ones would do.
+    pub(crate) eager_snapshots: bool,
+}
+
+impl Default for Rules {
+    fn default() -> Self {
+        Rules {
+            record: RecordMode::Full,
+            check_feasibility: false,
+            full_scan: cfg!(debug_assertions),
+            eager_snapshots: false,
+        }
+    }
+}
+
+/// The stepping core: graph state, algorithm and outcome accumulator of
+/// one reveal stream, served one reveal at a time ([`Session::apply`])
+/// or in span-disjoint batches ([`Session::apply_batch`]).
+pub(crate) struct Session<A: OnlineMinla> {
     state: GraphState,
     algorithm: A,
     recorder: Recorder,
-    /// Snapshot mode of the sequential serve path (the engine rule:
-    /// lazy iff algorithm and backend agree).
+    /// Snapshot mode of the sequential step.
     mode: SnapshotMode,
     check_feasibility: bool,
     full_scan: bool,
     threads: usize,
+    /// Look-ahead queue of the batch cycle; empty between calls.
     planner: BatchPlanner,
     decisions: Vec<MergeDecision>,
+    /// Reused across rounds: the parked (window-1) batch cycle must not
+    /// pay a heap allocation per reveal.
     batch_buf: Vec<PlannedReveal>,
 }
 
-impl<A: OnlineMinla> std::fmt::Debug for Session<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("spec", &self.spec)
-            .field("steps", &self.recorder.step())
-            .finish_non_exhaustive()
-    }
-}
-
 impl<A: OnlineMinla> Session<A> {
-    /// Builds a session around an already-constructed algorithm. The
-    /// algorithm's arrangement must cover `spec.n` nodes — use
-    /// [`open_session`] for the spec-driven construction that guarantees
-    /// it.
-    fn build(spec: SessionSpec, algorithm: A) -> Self {
-        let mode =
-            if algorithm.wants_lazy_info() && algorithm.arrangement().supports_component_locate() {
-                SnapshotMode::Lazy
-            } else {
-                SnapshotMode::Eager
-            };
-        // The batched path additionally requires cliques for lazy
-        // snapshots (the lines pipeline builds target contents from
-        // member lists) — same rule as `Simulation::parallel`.
-        let batch_mode = if mode == SnapshotMode::Lazy && spec.topology == Topology::Cliques {
-            SnapshotMode::Lazy
-        } else {
-            SnapshotMode::Eager
-        };
-        let (full, window) = match spec.record {
-            RecordMode::Full => (true, None),
-            RecordMode::Off => (false, None),
-            RecordMode::Window(k) => (false, Some(k)),
-        };
-        Session {
-            state: GraphState::new(spec.topology, spec.n),
-            recorder: Recorder::new(full, window),
-            mode,
-            check_feasibility: spec.check_feasibility,
-            full_scan: cfg!(debug_assertions),
-            threads: 1,
-            planner: BatchPlanner::new(DEFAULT_BATCH_WINDOW).snapshot_mode(batch_mode),
-            decisions: Vec::new(),
-            batch_buf: Vec::new(),
-            algorithm,
-            spec,
-        }
-    }
-
-    /// The spec this session was opened with.
-    #[must_use]
-    pub fn spec(&self) -> &SessionSpec {
-        &self.spec
-    }
-
-    /// Reveals served so far.
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        self.recorder.step()
-    }
-
-    /// Exact accumulated moving cost.
-    #[must_use]
-    pub fn moving_cost(&self) -> u128 {
-        self.recorder.moving_cost()
-    }
-
-    /// Exact accumulated rearranging cost.
-    #[must_use]
-    pub fn rearranging_cost(&self) -> u128 {
-        self.recorder.rearranging_cost()
-    }
-
-    /// Worker threads for batched applies (`0` = available parallelism).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = mla_runner::resolve_threads(threads);
-    }
-
-    /// Current position of `node` in the arrangement.
+    /// A fresh session on `n` nodes of `topology`, batching at most
+    /// `window` reveals ahead.
+    ///
+    /// Snapshots are lazy (size-only) iff the rules allow it and the
+    /// algorithm and its backend agree; the batch cycle additionally
+    /// needs cliques, because the batched lines pipeline builds the
+    /// rearranged target contents from member lists.
     ///
     /// # Errors
     ///
-    /// [`SimError::Other`] if `node` is out of range (queries come off
-    /// the wire; they must not panic the server).
-    pub fn position_of(&self, node: Node) -> Result<usize, SimError> {
-        if node.index() >= self.spec.n {
-            return Err(SimError::Other(format!(
-                "node {} out of range for n = {}",
-                node.index(),
-                self.spec.n
-            )));
+    /// [`SimError::SizeMismatch`] if the algorithm's arrangement does not
+    /// cover `n` nodes.
+    pub(crate) fn new(
+        topology: Topology,
+        n: usize,
+        algorithm: A,
+        rules: Rules,
+        window: usize,
+    ) -> Result<Self, SimError> {
+        let actual = algorithm.arrangement().len();
+        if actual != n {
+            return Err(SimError::SizeMismatch {
+                expected: n,
+                actual,
+            });
         }
-        Ok(self.algorithm.arrangement().position_of(node))
+        let lazy = !rules.eager_snapshots
+            && algorithm.wants_lazy_info()
+            && algorithm.arrangement().supports_component_locate();
+        let mode = |lazy| {
+            if lazy {
+                SnapshotMode::Lazy
+            } else {
+                SnapshotMode::Eager
+            }
+        };
+        Ok(Session {
+            state: GraphState::new(topology, n),
+            recorder: Recorder::new(rules.record),
+            mode: mode(lazy),
+            check_feasibility: rules.check_feasibility,
+            full_scan: rules.full_scan,
+            threads: 1,
+            planner: BatchPlanner::new(window)
+                .snapshot_mode(mode(lazy && topology == Topology::Cliques)),
+            decisions: Vec::new(),
+            batch_buf: Vec::new(),
+            algorithm,
+        })
     }
 
-    /// Snapshot of the run outcome so far (mid-stream: totals, retained
-    /// history and the current permutation).
-    #[must_use]
-    pub fn outcome(&self) -> RunOutcome {
-        self.recorder
-            .outcome_snapshot(self.algorithm.arrangement().to_permutation())
+    /// Test hook, forwarded to [`BatchPlanner::unchecked_sealing`].
+    pub(crate) fn unchecked_sealing(mut self, on: bool) -> Self {
+        self.planner = self.planner.unchecked_sealing(on);
+        self
     }
 
-    /// Serves one reveal through the **sequential** path — the exact
-    /// body of [`Simulation::run`](crate::Simulation::run)'s loop.
+    /// Worker threads for the batch cycle (`0` = available parallelism).
+    pub(crate) fn set_threads(&mut self, threads: usize) {
+        self.threads = mla_runner::resolve_threads(threads);
+    }
+
+    /// The algorithm's current arrangement.
+    pub(crate) fn arrangement(&self) -> &A::Arr {
+        self.algorithm.arrangement()
+    }
+
+    /// The graph revealed so far.
+    pub(crate) fn state(&self) -> &GraphState {
+        &self.state
+    }
+
+    /// Serves one reveal: apply it to the graph state, let the algorithm
+    /// serve it, check, record.
     ///
     /// # Errors
     ///
     /// [`SimError::Graph`] for an invalid reveal,
     /// [`SimError::FeasibilityViolation`] if checking is enabled and the
     /// algorithm breaks the invariant.
-    pub fn apply(&mut self, event: RevealEvent) -> Result<UpdateReport, SimError> {
+    pub(crate) fn apply(&mut self, event: RevealEvent) -> Result<(), SimError> {
         let info = self.state.apply_with(event, self.mode)?;
         let report = self.algorithm.serve(event, &info, &self.state);
+        self.finish_step(event, &info, report)
+    }
+
+    /// The tail of every step: validate the merged component's block
+    /// (and, under `full_scan`, the whole arrangement) against the
+    /// post-merge state, then record the served reveal.
+    fn finish_step(
+        &mut self,
+        event: RevealEvent,
+        info: &MergeInfo,
+        report: UpdateReport,
+    ) -> Result<(), SimError> {
         if self.check_feasibility {
-            let feasible = self
-                .state
-                .merge_keeps_minla(self.algorithm.arrangement(), &info)
-                && (!self.full_scan || self.state.is_minla(self.algorithm.arrangement()));
-            if !feasible {
+            let arr = self.algorithm.arrangement();
+            if !(self.state.merge_keeps_minla(arr, info)
+                && (!self.full_scan || self.state.is_minla(arr)))
+            {
                 return Err(SimError::FeasibilityViolation {
                     step: self.recorder.step() + 1,
                     algorithm: self.algorithm.name().to_owned(),
@@ -496,7 +509,20 @@ impl<A: OnlineMinla> Session<A> {
             }
         }
         self.recorder.record(event, report);
-        Ok(report)
+        Ok(())
+    }
+
+    /// Snapshot of the run outcome so far (mid-stream: totals, retained
+    /// history and the current permutation).
+    pub(crate) fn outcome(&self) -> RunOutcome {
+        self.recorder
+            .outcome_snapshot(self.algorithm.arrangement().to_permutation())
+    }
+
+    /// Ends the run.
+    pub(crate) fn finish(self) -> RunOutcome {
+        self.recorder
+            .finish(self.algorithm.arrangement().to_permutation())
     }
 }
 
@@ -504,53 +530,166 @@ impl<A: BatchServe> Session<A>
 where
     A::Arr: Sync,
 {
-    /// Serves a frame of reveals through the **batch executor** — the
-    /// same plan → decide → build → apply pipeline as
-    /// [`Simulation::parallel`](crate::Simulation::parallel), with the
-    /// same bit-identity contract: any frame partition of a reveal
-    /// sequence produces the sequential outcome.
-    ///
-    /// The internal planner is always drained before returning, so the
-    /// session is checkpointable between calls.
+    /// Serves reveals pulled from `source` through the batch cycle until
+    /// it returns `None`. Each round tops the look-ahead queue up to the
+    /// planner's refill target (`source` sees the arrangement and graph
+    /// state as of that moment, so an adaptive adversary with a window
+    /// of 1 sees every reveal's result), seals the span-disjoint prefix,
+    /// executes it and retires it. RNG draws and arrangement mutations
+    /// stay in reveal order, so the outcome is bit-identical to
+    /// [`Session::apply`] on each reveal, for every thread count and
+    /// every partition of the stream into calls.
     ///
     /// # Errors
     ///
-    /// As [`Session::apply`]. On error, reveals of this frame past the
-    /// failure point are **dropped** (never half-applied); totals and
-    /// the arrangement stay consistent, so the session remains usable
-    /// for queries and checkpoints.
-    pub fn apply_batch(&mut self, events: &[RevealEvent]) -> Result<(), SimError> {
-        for &event in events {
-            self.planner.push(event);
-        }
-        while !self.planner.is_empty() {
-            let planned = self.planner.plan_batch_into(
+    /// As [`Session::apply`], at the same step. On error the queue is
+    /// cleared and reveals past the failure are dropped (never
+    /// half-applied); the session stays usable for queries and
+    /// checkpoints.
+    pub(crate) fn apply_batch<F>(&mut self, mut source: F) -> Result<(), SimError>
+    where
+        F: FnMut(&A::Arr, &GraphState) -> Option<RevealEvent>,
+    {
+        let mut batch = std::mem::take(&mut self.batch_buf);
+        let mut exhausted = false;
+        let result = loop {
+            while !exhausted && self.planner.queued() < self.planner.refill_target() {
+                match source(self.algorithm.arrangement(), &self.state) {
+                    Some(event) => self.planner.push(event),
+                    None => exhausted = true,
+                }
+            }
+            if self.planner.is_empty() {
+                break Ok(());
+            }
+            if let Err(err) = self.planner.plan_batch_into(
                 &self.state,
                 self.algorithm.arrangement(),
                 self.threads,
-                &mut self.batch_buf,
-            );
-            if let Err(err) = planned {
-                self.planner.clear_queue();
-                return Err(SimError::Graph(err));
+                &mut batch,
+            ) {
+                break Err(SimError::Graph(err));
             }
-            let applied = execute_planned_batch(
-                &mut self.algorithm,
-                &mut self.state,
-                &mut self.recorder,
-                &self.batch_buf,
-                &mut self.decisions,
-                self.threads,
-                self.check_feasibility,
-                self.full_scan,
-            );
-            if let Err(err) = applied {
-                self.planner.clear_queue();
-                return Err(err);
+            if let Err(err) = self.execute_planned_batch(&batch) {
+                break Err(err);
             }
-            self.planner.retire_batch(&self.state, &self.batch_buf);
+            self.planner.retire_batch(&self.state, &batch);
+        };
+        if result.is_err() {
+            self.planner.clear_queue();
+        }
+        self.batch_buf = batch;
+        result
+    }
+
+    /// Executes one **sealed** batch of span-disjoint planned reveals:
+    ///
+    /// 1. **decide** (reveal order) — the algorithm draws each merge's
+    ///    random choices, keeping the RNG stream identical to sequential;
+    /// 2. **build plans** (parallel for lines) — pure snapshot → plan
+    ///    construction, including staged target contents;
+    /// 3. **apply** — commit the merges to the graph state and run the
+    ///    whole batch through the backend's `apply_merge_batch`;
+    /// 4. **check and record**, in reveal order.
+    fn execute_planned_batch(&mut self, batch: &[PlannedReveal]) -> Result<(), SimError> {
+        // Batch of one — the parked degraded mode, and the tail of every
+        // run: skip the staging vectors and the backend's batch dispatch
+        // and run decide, build, commit and one `merge_move` inline, so a
+        // conflict-dense batched run is never slower than `apply`.
+        if let [planned] = batch {
+            let decision = self.algorithm.decide(&planned.info, &planned.layout);
+            let plan = A::build_plan(&planned.info, &planned.layout, decision);
+            self.state.commit(planned.event);
+            let report = self.algorithm.apply_plan(plan);
+            return self.finish_step(planned.event, &planned.info, report);
+        }
+        self.decisions.clear();
+        self.decisions.extend(
+            batch
+                .iter()
+                .map(|p| self.algorithm.decide(&p.info, &p.layout)),
+        );
+        // Only line merges carry per-plan staging buffers (the merged
+        // path's target content), so only they are worth a parallel
+        // dispatch.
+        let decisions = &self.decisions;
+        let plans: Vec<MergePlan> = if self.threads > 1
+            && batch.len() >= PARALLEL_DISPATCH_MIN
+            && self.state.topology() == Topology::Lines
+        {
+            mla_runner::run_indexed(self.threads, batch.len(), |i| {
+                A::build_plan(&batch[i].info, &batch[i].layout, decisions[i])
+            })
+        } else {
+            batch
+                .iter()
+                .zip(decisions)
+                .map(|(p, &decision)| A::build_plan(&p.info, &p.layout, decision))
+                .collect()
+        };
+        // Debug-build shadow check: re-verify the planner's sealing
+        // promise with an independent algorithm before any mutation.
+        #[cfg(debug_assertions)]
+        assert_batch_spans_disjoint(batch);
+        // Disjoint spans commute, so committing in reveal order and
+        // running the batch through the backend (partitioned backends
+        // run ops of different regions on worker threads) leaves the
+        // arrangement bit-identical to the per-reveal loop.
+        let mut reports = Vec::with_capacity(batch.len());
+        let mut ops = Vec::with_capacity(batch.len());
+        for (planned, plan) in batch.iter().zip(plans) {
+            self.state.commit(planned.event);
+            reports.push(plan.report);
+            ops.push(MergeOp {
+                mover: plan.mover,
+                stayer: plan.stayer,
+                target: plan.target,
+            });
+        }
+        let costs = self
+            .algorithm
+            .arrangement_mut()
+            .apply_merge_batch(ops, self.threads);
+        debug_assert!(
+            costs
+                .iter()
+                .zip(&reports)
+                .all(|(&cost, report)| cost == report.moving_cost),
+            "backend charged a different moving cost than the plan"
+        );
+        // Feasibility is validated against the post-batch state; because
+        // batch spans are disjoint, each merged component's block is
+        // exactly what the per-reveal check would have seen.
+        for (planned, report) in batch.iter().zip(reports) {
+            self.finish_step(planned.event, &planned.info, report)?;
         }
         Ok(())
+    }
+}
+
+/// Debug-build re-check of the planner's sealing contract: every span in
+/// a sealed batch must be pairwise disjoint, or the partitioned-write
+/// executor's `&mut`-distribution argument does not hold. Uses sort +
+/// adjacent comparison — deliberately a different algorithm than the
+/// planner's [`crate::batch::ConflictGraph`] — so a sealing bug cannot
+/// hide itself in the checker.
+#[cfg(debug_assertions)]
+fn assert_batch_spans_disjoint(batch: &[PlannedReveal]) {
+    let mut spans: Vec<(std::ops::Range<usize>, usize)> = batch
+        .iter()
+        .enumerate()
+        .map(|(index, planned)| (planned.span(), index))
+        .collect();
+    spans.sort_by_key(|(span, _)| (span.start, span.end));
+    for pair in spans.windows(2) {
+        let ((a, a_at), (b, b_at)) = (&pair[0], &pair[1]);
+        if a.end > b.start {
+            // mla-lint: allow(panic-safety): the shadow checker exists to abort on a detected sealing violation (debug builds only)
+            panic!(
+                "shadow checker: sealed batch contains overlapping spans: \
+                 reveal {a_at} span {a:?} vs reveal {b_at} span {b:?}"
+            );
+        }
     }
 }
 
@@ -559,21 +698,13 @@ where
     A: OnlineMinla + PolicyState,
     A::Arr: ArrCodec,
 {
-    /// Serializes the full live state into a sealed checkpoint (see
-    /// [`encode_session`] for the contract).
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.encode_body(&mut body);
-        checkpoint::seal(&body)
-    }
-
+    /// Serializes the live state after the spec: arrangement, graph
+    /// state, policy state, recorder, planner tuning.
     fn encode_body(&self, out: &mut Vec<u8>) {
         debug_assert!(
             self.planner.is_empty(),
             "checkpoints are taken at drained-planner points"
         );
-        self.spec.encode_into(out);
         // The arrangement precedes the graph state: the decoder needs it
         // first to construct the algorithm it then restores into.
         self.algorithm.arrangement().encode_arr(out);
@@ -586,29 +717,25 @@ where
         put_u32(out, collapse_streak);
     }
 
-    /// Restores the serialized state into a freshly built session whose
-    /// spec already matched. The arrangement was decoded *before* the
-    /// algorithm was constructed; this consumes the rest of the body.
+    /// Restores the serialized state into this freshly built session.
+    /// The arrangement was decoded *before* the algorithm was
+    /// constructed; this consumes the rest of the body, cross-checking
+    /// it against the fresh session's topology, size and record mode.
     fn restore_body(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
         let state = GraphState::decode_from(r)?;
-        if state.topology() != self.spec.topology || state.n() != self.spec.n {
+        if state.topology() != self.state.topology() || state.n() != self.state.n() {
             return Err(CheckpointError::malformed(format!(
                 "graph state is {:?}/{} but the spec says {:?}/{}",
                 state.topology(),
                 state.n(),
-                self.spec.topology,
-                self.spec.n
+                self.state.topology(),
+                self.state.n()
             )));
         }
         self.state = state;
         self.algorithm.restore_state(r)?;
-        let recorder = Recorder::decode_from(r, self.spec.n)?;
-        let expected_mode = match self.spec.record {
-            RecordMode::Full => (true, None),
-            RecordMode::Off => (false, None),
-            RecordMode::Window(k) => (false, Some(k)),
-        };
-        if recorder.mode() != expected_mode {
+        let recorder = Recorder::decode_from(r, self.state.n())?;
+        if recorder.mode() != self.recorder.mode() {
             return Err(CheckpointError::malformed(
                 "recorder mode disagrees with the session spec".to_string(),
             ));
@@ -654,8 +781,10 @@ pub trait TenantSession: Send {
     ///
     /// # Errors
     ///
-    /// As [`Session::apply`]; a failed frame is never half-recorded
-    /// beyond the failing reveal.
+    /// [`SimError::Graph`] for an invalid reveal,
+    /// [`SimError::FeasibilityViolation`] if checking is enabled and the
+    /// algorithm breaks the invariant. Reveals before the failing one
+    /// stay served; the failing one and those after it are dropped.
     fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError>;
 
     /// Current position of `node`.
@@ -681,133 +810,90 @@ impl std::fmt::Debug for dyn TenantSession {
     }
 }
 
-/// Batched-policy tenant: frames go through the batch executor.
-struct Batched<A: BatchServe>(Session<A>)
+/// How a tenant serves a frame: picked once at construction.
+type ApplyFrame<A> = fn(&mut Session<A>, &[RevealEvent]) -> Result<(), SimError>;
+
+/// Frames of the batchable policies go through the batch cycle.
+fn apply_frame_batched<A: BatchServe>(
+    session: &mut Session<A>,
+    events: &[RevealEvent],
+) -> Result<(), SimError>
 where
-    A::Arr: Sync;
-
-/// Jump-policy tenant (`Det`, `Opt`): frames replay sequentially.
-struct Sequential<A: OnlineMinla>(Session<A>);
-
-/// Restore hook shared by the wrappers, dispatched before boxing (the
-/// concrete type is still known there).
-trait RestoreBody {
-    fn restore_body(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError>;
-}
-
-impl<A> RestoreBody for Batched<A>
-where
-    A: BatchServe + PolicyState,
-    A::Arr: ArrCodec + Sync,
+    A::Arr: Sync,
 {
-    fn restore_body(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
-        self.0.restore_body(r)
-    }
+    let mut events = events.iter().copied();
+    session.apply_batch(|_, _| events.next())
 }
 
-impl<A> RestoreBody for Sequential<A>
-where
-    A: OnlineMinla + PolicyState,
-    A::Arr: ArrCodec,
-{
-    fn restore_body(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
-        self.0.restore_body(r)
-    }
+/// Frames of the jump policies (`Det`, `Opt`) replay sequentially.
+fn apply_frame_sequential<A: OnlineMinla>(
+    session: &mut Session<A>,
+    events: &[RevealEvent],
+) -> Result<(), SimError> {
+    events.iter().try_for_each(|&event| session.apply(event))
 }
 
-impl<A> TenantSession for Batched<A>
-where
-    A: BatchServe + PolicyState + Send,
-    A::Arr: ArrCodec + Sync + Send,
-{
-    fn spec(&self) -> &SessionSpec {
-        self.0.spec()
-    }
-
-    fn algorithm_name(&self) -> String {
-        self.0.algorithm.name().to_owned()
-    }
-
-    fn steps(&self) -> usize {
-        self.0.steps()
-    }
-
-    fn moving_cost(&self) -> u128 {
-        self.0.moving_cost()
-    }
-
-    fn rearranging_cost(&self) -> u128 {
-        self.0.rearranging_cost()
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.0.set_threads(threads);
-    }
-
-    fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError> {
-        self.0.apply_batch(events)?;
-        Ok(events.len())
-    }
-
-    fn position_of(&self, node: Node) -> Result<usize, SimError> {
-        self.0.position_of(node)
-    }
-
-    fn outcome(&self) -> RunOutcome {
-        self.0.outcome()
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        self.0.checkpoint()
-    }
+/// A session plus the spec it was opened with.
+struct Tenant<A: OnlineMinla> {
+    spec: SessionSpec,
+    session: Session<A>,
+    apply_frame: ApplyFrame<A>,
 }
 
-impl<A> TenantSession for Sequential<A>
+impl<A> TenantSession for Tenant<A>
 where
     A: OnlineMinla + PolicyState + Send,
     A::Arr: ArrCodec + Send,
 {
     fn spec(&self) -> &SessionSpec {
-        self.0.spec()
+        &self.spec
     }
 
     fn algorithm_name(&self) -> String {
-        self.0.algorithm.name().to_owned()
+        self.session.algorithm.name().to_owned()
     }
 
     fn steps(&self) -> usize {
-        self.0.steps()
+        self.session.recorder.step()
     }
 
     fn moving_cost(&self) -> u128 {
-        self.0.moving_cost()
+        self.session.recorder.moving_cost()
     }
 
     fn rearranging_cost(&self) -> u128 {
-        self.0.rearranging_cost()
+        self.session.recorder.rearranging_cost()
     }
 
     fn set_threads(&mut self, threads: usize) {
-        self.0.set_threads(threads);
+        self.session.set_threads(threads);
     }
 
     fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError> {
-        for &event in events {
-            self.0.apply(event)?;
-        }
+        (self.apply_frame)(&mut self.session, events)?;
         Ok(events.len())
     }
 
     fn position_of(&self, node: Node) -> Result<usize, SimError> {
-        self.0.position_of(node)
+        if node.index() >= self.spec.n {
+            return Err(SimError::Other(format!(
+                "node {} out of range for n = {}",
+                node.index(),
+                self.spec.n
+            )));
+        }
+        Ok(self.session.arrangement().position_of(node))
     }
 
     fn outcome(&self) -> RunOutcome {
-        self.0.outcome()
+        self.session.outcome()
     }
 
     fn encode(&self) -> Vec<u8> {
-        self.0.checkpoint()
+        let mut body = Vec::new();
+        self.spec.encode_into(&mut body);
+        self.session.encode_body(&mut body);
+        checkpoint::seal(&body)
     }
 }
 
@@ -895,68 +981,15 @@ where
             arr
         }
     };
-    let rng = SmallRng::seed_from_u64(spec.seed);
-    match (spec.policy, spec.topology) {
-        (PolicyKind::Rand, Topology::Cliques) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandCliques::with_policy(arr, rng, MovePolicy::SizeBiased),
-            )),
-            restore,
-        ),
-        (PolicyKind::Fair, Topology::Cliques) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandCliques::with_policy(arr, rng, MovePolicy::Fair),
-            )),
-            restore,
-        ),
-        (PolicyKind::SmallerMoves, Topology::Cliques) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandCliques::with_policy(arr, rng, MovePolicy::SmallerMoves),
-            )),
-            restore,
-        ),
-        (PolicyKind::Rand, Topology::Lines) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandLines::with_policies(
-                    arr,
-                    rng,
-                    MovePolicy::SizeBiased,
-                    RearrangePolicy::CostBiased,
-                ),
-            )),
-            restore,
-        ),
-        (PolicyKind::Fair, Topology::Lines) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandLines::with_policies(arr, rng, MovePolicy::Fair, RearrangePolicy::Fair),
-            )),
-            restore,
-        ),
-        (PolicyKind::SmallerMoves, Topology::Lines) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandLines::with_policies(
-                    arr,
-                    rng,
-                    MovePolicy::SmallerMoves,
-                    RearrangePolicy::Cheapest,
-                ),
-            )),
-            restore,
-        ),
-        (PolicyKind::Det, _) => finish_tenant(
-            Sequential(Session::build(
-                spec,
-                DetClosest::with_backend(arr, LopConfig::default()),
-            )),
-            restore,
-        ),
-        (PolicyKind::Opt, _) => {
+    let (move_policy, rearrange_policy) = match spec.policy {
+        PolicyKind::Rand => (MovePolicy::SizeBiased, RearrangePolicy::CostBiased),
+        PolicyKind::Fair => (MovePolicy::Fair, RearrangePolicy::Fair),
+        PolicyKind::SmallerMoves => (MovePolicy::SmallerMoves, RearrangePolicy::Cheapest),
+        PolicyKind::Det => {
+            let det = DetClosest::with_backend(arr, LopConfig::default());
+            return tenant(spec, det, apply_frame_sequential, restore);
+        }
+        PolicyKind::Opt => {
             let Some(target) = spec.target.clone() else {
                 // `validate` already rejected this; keep the decode path
                 // panic-free regardless.
@@ -964,25 +997,56 @@ where
                     "policy opt without a replay target".to_string(),
                 ));
             };
-            finish_tenant(
-                Sequential(Session::build(spec, OptReplay::new(arr, target))),
-                restore,
-            )
+            let opt = OptReplay::new(arr, target);
+            return tenant(spec, opt, apply_frame_sequential, restore);
+        }
+    };
+    let rng = SmallRng::seed_from_u64(spec.seed);
+    match spec.topology {
+        Topology::Cliques => {
+            let alg = RandCliques::with_policy(arr, rng, move_policy);
+            tenant(spec, alg, apply_frame_batched, restore)
+        }
+        Topology::Lines => {
+            let alg = RandLines::with_policies(arr, rng, move_policy, rearrange_policy);
+            tenant(spec, alg, apply_frame_batched, restore)
         }
     }
 }
 
-fn finish_tenant<T>(
-    mut tenant: T,
+/// Wraps `algorithm` into a tenant for `spec`, restoring the rest of the
+/// checkpoint body when there is one.
+fn tenant<A>(
+    spec: SessionSpec,
+    algorithm: A,
+    apply_frame: ApplyFrame<A>,
     restore: Option<&mut ByteReader<'_>>,
 ) -> Result<Box<dyn TenantSession>, CheckpointError>
 where
-    T: RestoreBody + TenantSession + 'static,
+    A: OnlineMinla + PolicyState + Send + 'static,
+    A::Arr: ArrCodec + Send,
 {
+    let rules = Rules {
+        record: spec.record,
+        check_feasibility: spec.check_feasibility,
+        ..Rules::default()
+    };
+    let mut session = Session::new(
+        spec.topology,
+        spec.n,
+        algorithm,
+        rules,
+        DEFAULT_BATCH_WINDOW,
+    )
+    .map_err(|err| CheckpointError::malformed(err.to_string()))?;
     if let Some(r) = restore {
-        tenant.restore_body(r)?;
+        session.restore_body(r)?;
     }
-    Ok(Box::new(tenant))
+    Ok(Box::new(Tenant {
+        spec,
+        session,
+        apply_frame,
+    }))
 }
 
 #[cfg(test)]

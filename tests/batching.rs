@@ -11,7 +11,7 @@
 //!   last `k` reports in both execution modes.
 
 use mla::prelude::*;
-use mla::sim::PlannedReveal;
+use mla::sim::{open_session, BackendKind, PlannedReveal, PolicyKind, SessionSpec};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -269,6 +269,30 @@ fn batched_reports_invalid_reveals_like_sequential() {
     let batched = run(true).expect_err("duplicate merge must fail");
     assert_eq!(sequential, batched);
     assert!(matches!(sequential, SimError::Graph(_)));
+
+    // A serving session given the same reveals as one frame fails the
+    // same way, keeps the valid prefix and drops the rest of the frame.
+    let spec = SessionSpec::new(
+        Topology::Cliques,
+        n,
+        PolicyKind::Rand,
+        BackendKind::Segment,
+        7,
+    );
+    let mut session = open_session(spec).expect("valid spec");
+    let served = session
+        .apply_events(&events)
+        .expect_err("duplicate merge must fail");
+    assert_eq!(sequential, served);
+    assert_eq!(session.steps(), 3);
+    let prefix = Instance::new(Topology::Cliques, n, events[..3].to_vec()).expect("valid prefix");
+    let want = Simulation::new(
+        prefix,
+        RandCliques::new(SegmentArrangement::identity(n), SmallRng::seed_from_u64(7)),
+    )
+    .run()
+    .expect("valid prefix");
+    assert_eq!(session.outcome(), want);
 }
 
 #[test]
